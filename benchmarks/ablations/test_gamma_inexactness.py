@@ -13,7 +13,7 @@ theory's qualitative reading:
 
 import numpy as np
 
-from repro.core import make_fedprox
+from repro.core import EvalConfig, make_fedprox
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table
@@ -32,7 +32,7 @@ def _run(dataset, epochs, straggler_fraction):
     )
     trainer = make_fedprox(
         dataset, model, 0.01, mu=1.0, epochs=epochs,
-        systems=systems, seed=SEED, eval_every=ROUNDS,
+        systems=systems, seed=SEED, evaluation=EvalConfig(every=ROUNDS),
         track_gamma=True,
     )
     return trainer.run(ROUNDS)

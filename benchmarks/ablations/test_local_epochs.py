@@ -8,7 +8,7 @@ when the proximal term is on.
 
 import numpy as np
 
-from repro.core import make_fedprox
+from repro.core import EvalConfig, make_fedprox
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.reporting import format_table
@@ -25,7 +25,7 @@ def _sweep():
             model = MultinomialLogisticRegression(dim=60, num_classes=10)
             trainer = make_fedprox(
                 dataset, model, 0.01, mu=mu, epochs=epochs, seed=SEED,
-                eval_every=ROUNDS,
+                evaluation=EvalConfig(every=ROUNDS),
             )
             history = trainer.run(ROUNDS)
             rows.append(

@@ -8,7 +8,7 @@ as the straggler level grows.
 
 import numpy as np
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -31,7 +31,7 @@ def _run(dataset, drop, level, mu):
         epochs=20,
         systems=FractionStragglers(level, seed=SEED),
         seed=SEED,
-        eval_every=ROUNDS,
+        evaluation=EvalConfig(every=ROUNDS),
     )
     return trainer.run(ROUNDS)
 

@@ -10,7 +10,7 @@ suggested mu is positive and finite.
 
 import numpy as np
 
-from repro.core import Client, make_fedprox
+from repro.core import Client, EvalConfig, make_fedprox
 from repro.datasets import make_synthetic, make_synthetic_iid
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -36,7 +36,7 @@ def _measure():
         model = MultinomialLogisticRegression(dim=60, num_classes=10)
         trainer = make_fedprox(
             dataset, model, 0.01, mu=1.0, clients_per_round=10, seed=SEED,
-            eval_every=100,
+            evaluation=EvalConfig(every=100),
         )
         trainer.run(10)  # measure at a non-trivial point
         clients = [Client(c, model, SGDSolver(0.01)) for c in dataset]

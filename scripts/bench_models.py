@@ -8,11 +8,11 @@ on the paper's non-convex workloads.
 ``charlstm`` / ``sentlstm``
     Whole training rounds (FedProx) with the LSTM models in three
     configurations: ``backend="graph"`` (per-timestep autograd, the seed
-    behavior and gradcheck reference), ``backend="fused"`` (hand-derived
-    forward/backward kernels, :func:`repro.autograd.fused_lstm`, serial
+    behavior and gradcheck reference), ``backend="fused"`` (the
+    hand-derived LSTM kernel of :mod:`repro.autograd.stacked_lstm`, called
+    one client at a time through :func:`repro.autograd.fused_lstm`, serial
     executor), and ``fused-cohort`` (the same fused model solved through
-    ``CohortExecutor``'s stacked multi-client kernels —
-    :mod:`repro.autograd.stacked_lstm`).  All run the identical federation
+    ``CohortExecutor``, which calls that kernel for K clients at once).  All run the identical federation
     at the identical seed; every variant's training history is asserted
     against the reference each run (``HISTORY_TOL``, relaxed to
     ``COHORT_HISTORY_TOL`` for the cohort path whose padded batch slots
@@ -48,7 +48,7 @@ from typing import List, Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import FederatedTrainer  # noqa: E402
+from repro.core import EvalConfig, FederatedTrainer  # noqa: E402
 from repro.datasets import (  # noqa: E402
     make_sent140_like,
     make_shakespeare_like,
@@ -106,7 +106,7 @@ def _charlstm_case(scale: str) -> dict:
             ("fused-cohort", lambda: CharLSTM(
                 vocab_size=40, embed_dim=8, hidden=size["hidden"],
                 num_layers=2, seed=0, backend="fused",
-            ), {"executor": "cohort"}),
+            ), {"engine": "cohort"}),
         ],
     }
 
@@ -140,7 +140,7 @@ def _sentlstm_case(scale: str) -> dict:
             ("fused-cohort", lambda: SentimentLSTM(
                 vocab_size=200, embed_dim=16, hidden=size["hidden"],
                 num_layers=2, seed=0, backend="fused",
-            ), {"executor": "cohort"}),
+            ), {"engine": "cohort"}),
         ],
     }
 
@@ -158,8 +158,8 @@ def _mlp_case(scale: str) -> dict:
         "dataset": dataset,
         "rounds": size["rounds"],
         "variants": [
-            ("per_client-eval", make, {"eval_mode": "per_client"}),
-            ("stacked-eval", make, {"eval_mode": "auto"}),
+            ("per_client-eval", make, {"evaluation": EvalConfig(mode="per_client")}),
+            ("stacked-eval", make, {"evaluation": EvalConfig(mode="auto")}),
         ],
     }
 
@@ -281,13 +281,15 @@ def run_benchmark(scale: str, epochs: float) -> dict:
         "notes": {
             "charlstm": (
                 "graph = per-timestep autograd unroll (gradcheck "
-                "reference), fused = repro.autograd.fused_lstm hand-derived "
-                "kernels; identical federation, seed, and (to 1e-10) "
-                "training history."
+                "reference), fused = the hand-derived kernel of "
+                "repro.autograd.stacked_lstm, one client per call "
+                "(repro.autograd.fused_lstm); identical federation, seed, "
+                "and (to 1e-10) training history."
             ),
             "fused-cohort": (
-                "The fused LSTM model solved through CohortExecutor's "
-                "stacked multi-client kernels (repro.autograd.stacked_lstm) "
+                "The fused LSTM model solved through CohortExecutor, which "
+                "calls the same kernel (repro.autograd.stacked_lstm) for K "
+                "clients at once "
                 "— the capabilities column shows stacked_local_solve: true. "
                 "History parity vs the graph reference is asserted to 1e-9 "
                 "(padded batch slots shift BLAS blocking by a few ulp); its "

@@ -74,7 +74,7 @@ def measure_point(
     the clock, then times ``rounds`` rounds; phase splits come from the
     trainer's telemetry spans, never ad-hoc timers.
     """
-    from repro.core import FederatedTrainer
+    from repro.core import EvalConfig, FederatedTrainer
     from repro.datasets import make_synthetic_ondemand
     from repro.datasets.federated import FederatedDataset
     from repro.models import MultinomialLogisticRegression
@@ -94,11 +94,10 @@ def measure_point(
     build_seconds = time.perf_counter() - t_build
 
     sink = InMemorySink()
-    eval_kwargs = (
-        {"eval": "sampled", "eval_sample_size": sample_size,
-         "eval_strata": strata}
+    evaluation = (
+        EvalConfig(strategy="sampled", sample_size=sample_size, strata=strata)
         if store == "ondemand"
-        else {"eval": "full"}
+        else EvalConfig(strategy="full")
     )
     trainer = FederatedTrainer(
         dataset=dataset,
@@ -110,7 +109,7 @@ def measure_point(
         seed=seed,
         telemetry=Telemetry([sink]),
         label=f"scale-{store}-{devices}",
-        **eval_kwargs,
+        evaluation=evaluation,
     )
     try:
         trainer.run_round()  # warmup, excluded from the clock
@@ -136,7 +135,7 @@ def measure_point(
     return {
         "devices": devices,
         "store": store,
-        "eval": eval_kwargs["eval"],
+        "eval": evaluation.strategy,
         "rounds": rounds,
         "local_epochs": epochs,
         "build_seconds": round(build_seconds, 4),

@@ -4,14 +4,14 @@ These are the loss functions and fused operations used by the model zoo.
 Fusing softmax with cross-entropy keeps the backward pass numerically
 stable and cheap (the classic ``softmax - onehot`` gradient).
 
-:func:`fused_lstm` is the hand-derived forward/backward for the unrolled
-multi-layer LSTM — the hot path of the paper's Shakespeare and Sent140
-workloads.  It participates in the autograd graph like any other op (one
-node for the whole unroll), but internally runs pure NumPy kernels over
-preallocated workspaces instead of building ~10 graph nodes per timestep.
-The graph-mode cell in :mod:`repro.nn.recurrent` remains the correctness
-oracle: the test suite checks the fused gradients against it and against
-finite differences.
+:func:`fused_lstm` is the autograd node for the unrolled multi-layer LSTM —
+the hot path of the paper's Shakespeare and Sent140 workloads.  It
+participates in the graph like any other op (one node for the whole
+unroll) but runs the hand-derived kernels of
+:mod:`repro.autograd.stacked_lstm` as their ``K = 1`` call instead of
+building ~10 graph nodes per timestep.  The graph-mode cell in
+:mod:`repro.nn.recurrent` remains the correctness oracle: the test suite
+checks the fused gradients against it and against finite differences.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import ops
+from .stacked_lstm import (
+    StackedLSTMWorkspace,
+    stacked_lstm_backward,
+    stacked_lstm_forward,
+)
 from .tensor import Tensor, as_tensor
 
 
@@ -166,106 +171,10 @@ def l2_norm_squared(t: Tensor) -> Tensor:
     return ops.sum_(ops.mul(t, t))
 
 
-class _LayerTape:
-    """Saved activations and gradient scratch for one LSTM layer."""
-
-    def __init__(self, T: int, B: int, in_size: int, hidden: int) -> None:
-        H = hidden
-        # Rows 0 of ``h``/``c`` hold the zero initial state, so ``h[t]`` is
-        # the state *entering* step ``t`` and ``h[1:]`` the output sequence.
-        self.h = np.zeros((T + 1, B, H))
-        self.c = np.zeros((T + 1, B, H))
-        self.tanh_c = np.empty((T, B, H))
-        # Post-nonlinearity gate values in the kernel's internal column
-        # order [i, f, o, g] (see ``fused_lstm``), one buffer per step.
-        self.gates = np.empty((T, B, 4 * H))
-        # Internally-permuted parameter copies and gradient scratch: ``*_p``
-        # buffers hold the [i, f, o, g] layout, the others the external
-        # [i, f, g, o] layout accumulated into the parameter tensors.
-        self.w_x_p = np.empty((in_size, 4 * H))
-        self.w_h_p = np.empty((H, 4 * H))
-        self.b_p = np.empty(4 * H)
-        self.d_wx_p = np.empty((in_size, 4 * H))
-        self.d_wh_p = np.empty((H, 4 * H))
-        self.d_b_p = np.empty(4 * H)
-        self.d_wx = np.empty((in_size, 4 * H))
-        self.d_wh = np.empty((H, 4 * H))
-        self.d_b = np.empty(4 * H)
-
-
-class FusedLSTMWorkspace:
-    """Reusable activation tape for :func:`fused_lstm`.
-
-    One workspace amortizes all per-call allocation across the minibatches
-    and local epochs of a solve: buffers are keyed by the call shape
-    ``(T, B, in, hidden, layers)`` and reused whenever it recurs (mini-batch
-    shapes repeat within an epoch; evaluation blocks repeat across rounds).
-
-    A workspace's buffers are *live* between a forward call and its
-    backward: running another forward through the same workspace overwrites
-    the tape, so a still-pending backward from the earlier call would read
-    garbage.  :func:`fused_lstm` stamps each forward with a generation
-    counter and the backward closure refuses to run against a recycled
-    tape rather than silently corrupting gradients.
-    """
-
-    def __init__(self) -> None:
-        self._tapes: dict = {}
-        self.generation = 0
-
-    def acquire(self, T: int, B: int, in_size: int, hidden: int, layers: int):
-        """Buffers for one call shape, allocating on first use."""
-        key = (T, B, in_size, hidden, layers)
-        state = self._tapes.get(key)
-        if state is None:
-            H = hidden
-            state = {
-                "layers": [
-                    _LayerTape(T, B, in_size if l == 0 else H, H)
-                    for l in range(layers)
-                ],
-                "x_tm": np.empty((T, B, in_size)),  # time-major input copy
-                "tmp4h": np.empty((B, 4 * H)),
-                "tmp3h": np.empty((B, 3 * H)),
-                "tmph": np.empty((B, H)),
-                # Column permutation [i, f, g, o] -> [i, f, o, g]: swapping
-                # the last two blocks is an involution, so the same index
-                # array maps external->internal and back.
-                "perm": np.concatenate(
-                    [
-                        np.arange(2 * H),
-                        np.arange(3 * H, 4 * H),
-                        np.arange(2 * H, 3 * H),
-                    ]
-                ),
-                "dh": np.empty((B, H)),
-                "dc": np.empty((B, H)),
-                "dgates": np.empty((T, B, 4 * H)),
-                "dseq_a": np.empty((T, B, H)),
-                "dseq_b": np.empty((T, B, H)),
-                "dx0": np.empty((T, B, in_size)),
-            }
-            self._tapes[key] = state
-        self.generation += 1
-        return state
-
-
-def _sigmoid_inplace(a: np.ndarray) -> None:
-    """Numerically stable in-place logistic sigmoid via tanh.
-
-    ``sigmoid(x) = (tanh(x/2) + 1) / 2`` is finite for any ``x`` and needs
-    no temporaries, unlike the exp-based split form.
-    """
-    a *= 0.5
-    np.tanh(a, out=a)
-    a += 1.0
-    a *= 0.5
-
-
 def fused_lstm(
     x,
     layers: Sequence[Tuple[Tensor, Tensor, Tensor]],
-    workspace: Optional[FusedLSTMWorkspace] = None,
+    workspace: Optional[StackedLSTMWorkspace] = None,
     return_sequence: bool = False,
 ) -> Tensor:
     """Unrolled multi-layer LSTM with hand-derived forward/backward.
@@ -273,20 +182,7 @@ def fused_lstm(
     Semantically identical to running :class:`repro.nn.recurrent.LSTM`
     (zero initial state, gate layout ``[input, forget, cell, output]``,
     same association order of the pre-activation sums), but executed as
-    fused NumPy kernels: the input contribution ``X @ W_x`` of all ``T``
-    steps is one GEMM per layer, each step touches a single
-    ``(batch, 4*hidden)`` gate buffer, and the backward sweep stores
-    per-step gate gradients so ``dW_x`` / ``dW_h`` / ``db`` reduce to one
-    fused GEMM each over the ``(T*batch, ·)`` stack.
-
-    Internally the kernel permutes the gate columns to ``[i, f, o, g]`` (a
-    per-column relabeling, so every value is bit-identical to the external
-    ``[i, f, g, o]`` layout): the three sigmoid gates then form one
-    contiguous block, letting each step apply the sigmoid — and its
-    derivative factor in backward — with a single fused slice operation
-    instead of one per gate.  Parameters and their gradients cross the
-    boundary through ``np.take`` with preallocated buffers; the swap is its
-    own inverse.
+    the ``K = 1`` call of the kernel in :mod:`repro.autograd.stacked_lstm`.
 
     Parameters
     ----------
@@ -300,8 +196,11 @@ def fused_lstm(
         :class:`repro.nn.recurrent.LSTMCell`.
     workspace:
         Activation tape reused across calls (see
-        :class:`FusedLSTMWorkspace`); a private one is allocated per call
-        when omitted.
+        :class:`~repro.autograd.stacked_lstm.StackedLSTMWorkspace`); a
+        private one is allocated per call when omitted.  A forward through
+        the same workspace before this node's backward recycles the tape,
+        and the backward then raises ``RuntimeError`` instead of
+        corrupting gradients.
     return_sequence:
         Return all top-layer hidden states ``(batch, time, hidden)``
         instead of the final state ``(batch, hidden)``.
@@ -328,48 +227,17 @@ def fused_lstm(
                 f"({H}, {4*H}) / ({4*H},), got {w_x.shape} / {w_h.shape} / {b.shape}"
             )
 
-    ws = workspace if workspace is not None else FusedLSTMWorkspace()
-    st = ws.acquire(T, B, in_size, H, len(layers))
+    ws = workspace if workspace is not None else StackedLSTMWorkspace()
+    st = ws.acquire(1, T, B, in_size, H, len(layers))
     generation = ws.generation
-
-    # Forward --------------------------------------------------------------- #
-    x_tm = st["x_tm"]
-    np.copyto(x_tm, xd.transpose(1, 0, 2))
-    tmp4h = st["tmp4h"]
-    tmph = st["tmph"]
-    perm = st["perm"]
-    inp = x_tm
-    for l, (w_x, w_h, b) in enumerate(layers):
-        tape = st["layers"][l]
-        gates, h, c = tape.gates, tape.h, tape.c
-        # Parameters in the internal [i, f, o, g] column order.
-        np.take(w_x.data, perm, axis=1, out=tape.w_x_p)
-        np.take(w_h.data, perm, axis=1, out=tape.w_h_p)
-        np.take(b.data, perm, out=tape.b_p)
-        np.matmul(inp.reshape(T * B, -1), tape.w_x_p, out=gates.reshape(T * B, 4 * H))
-        gates += tape.b_p  # one broadcast add for all T steps
-        h[0].fill(0.0)
-        c[0].fill(0.0)
-        w_h_p = tape.w_h_p
-        for t in range(T):
-            g_t = gates[t]
-            np.matmul(h[t], w_h_p, out=tmp4h)
-            g_t += tmp4h
-            _sigmoid_inplace(g_t[:, : 3 * H])       # input, forget, output
-            np.tanh(g_t[:, 3 * H :], out=g_t[:, 3 * H :])  # cell candidate
-            c_next = c[t + 1]
-            np.multiply(g_t[:, H : 2 * H], c[t], out=c_next)   # f * c_prev
-            np.multiply(g_t[:, :H], g_t[:, 3 * H :], out=tmph)  # i * g
-            c_next += tmph
-            np.tanh(c_next, out=tape.tanh_c[t])
-            np.multiply(g_t[:, 2 * H : 3 * H], tape.tanh_c[t], out=h[t + 1])
-        inp = h[1:]
-
-    top = st["layers"][-1]
+    np.copyto(st["x_km"][0], xd.transpose(1, 0, 2))
+    h_final = stacked_lstm_forward(
+        st, [(w_x.data[None], w_h.data[None], b.data[None]) for w_x, w_h, b in layers]
+    )
     if return_sequence:
-        out_data = np.ascontiguousarray(top.h[1:].transpose(1, 0, 2))
+        out_data = np.ascontiguousarray(st["layers"][-1].h[0, 1:].transpose(1, 0, 2))
     else:
-        out_data = top.h[T].copy()
+        out_data = h_final[0].copy()
 
     x_in_graph = x_t.requires_grad or bool(x_t._parents)
     parents = [p for triple in layers for p in triple]
@@ -378,7 +246,6 @@ def fused_lstm(
     if not any(p.requires_grad or p._parents for p in parents):
         return Tensor(out_data)
 
-    # Backward -------------------------------------------------------------- #
     def backward(grad: np.ndarray) -> None:
         if ws.generation != generation:
             raise RuntimeError(
@@ -387,79 +254,17 @@ def fused_lstm(
                 "node's backward pass (run backward before the next forward, "
                 "or give each concurrent graph its own workspace)"
             )
-        dgates = st["dgates"]
-        dh, dc = st["dh"], st["dc"]
-        tmp = st["tmph"]
-        tmp3h = st["tmp3h"]
-        perm = st["perm"]
-        dseq = st["dseq_a"]
-        if return_sequence:
-            np.copyto(dseq, np.asarray(grad).transpose(1, 0, 2))
-        else:
-            dseq.fill(0.0)
-            dseq[T - 1] = grad
-        for l in range(len(layers) - 1, -1, -1):
-            w_x, w_h, b = layers[l]
-            tape = st["layers"][l]
-            gates, h, c, tanh_c = tape.gates, tape.h, tape.c, tape.tanh_c
-            dh.fill(0.0)
-            dc.fill(0.0)
-            w_h_p = tape.w_h_p
-            for t in range(T - 1, -1, -1):
-                dh += dseq[t]
-                g_t = gates[t]
-                i_g = g_t[:, :H]
-                f_g = g_t[:, H : 2 * H]
-                o_g = g_t[:, 2 * H : 3 * H]
-                g_g = g_t[:, 3 * H :]
-                dg_t = dgates[t]
-                # dc += dh * o * (1 - tanh(c)^2)
-                np.multiply(tanh_c[t], tanh_c[t], out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                tmp *= o_g
-                tmp *= dh
-                dc += tmp
-                # Loss gradients w.r.t. the three sigmoid gate *values*...
-                np.multiply(dc, g_g, out=dg_t[:, :H])              # input
-                np.multiply(dc, c[t], out=dg_t[:, H : 2 * H])      # forget
-                np.multiply(dh, tanh_c[t], out=dg_t[:, 2 * H : 3 * H])  # out
-                # ...through one fused sigmoid derivative s*(1-s) over the
-                # contiguous [i, f, o] block.
-                np.subtract(1.0, g_t[:, : 3 * H], out=tmp3h)
-                tmp3h *= g_t[:, : 3 * H]
-                dg_t[:, : 3 * H] *= tmp3h
-                # cell gate: dc * i * (1 - g^2)
-                da_g = dg_t[:, 3 * H :]
-                np.multiply(g_g, g_g, out=tmp)
-                np.subtract(1.0, tmp, out=tmp)
-                np.multiply(dc, tmp, out=da_g)
-                da_g *= i_g
-                # carry to step t-1
-                dc *= f_g
-                np.matmul(dg_t, w_h_p.T, out=dh)
-            # Fused parameter accumulation: one GEMM per matrix over the
-            # whole (T*B, .) stack instead of T rank-B updates, un-permuted
-            # back to the external [i, f, g, o] column order.
-            inp_l = x_tm if l == 0 else st["layers"][l - 1].h[1:]
-            flat_dg = dgates.reshape(T * B, 4 * H)
-            np.matmul(
-                inp_l.reshape(T * B, -1).T, flat_dg, out=tape.d_wx_p
-            )
-            np.matmul(h[:T].reshape(T * B, H).T, flat_dg, out=tape.d_wh_p)
-            flat_dg.sum(axis=0, out=tape.d_b_p)
-            np.take(tape.d_wx_p, perm, axis=1, out=tape.d_wx)
-            np.take(tape.d_wh_p, perm, axis=1, out=tape.d_wh)
-            np.take(tape.d_b_p, perm, out=tape.d_b)
-            w_x._accumulate(tape.d_wx)
-            w_h._accumulate(tape.d_wh)
-            b._accumulate(tape.d_b)
-            if l > 0:
-                nxt = st["dseq_b"] if dseq is st["dseq_a"] else st["dseq_a"]
-                np.matmul(flat_dg, tape.w_x_p.T, out=nxt.reshape(T * B, H))
-                dseq = nxt
-            elif x_in_graph:
-                dx0 = st["dx0"]
-                np.matmul(flat_dg, tape.w_x_p.T, out=dx0.reshape(T * B, in_size))
-                x_t._accumulate(dx0.transpose(1, 0, 2))
+        grad = np.asarray(grad)
+        dh_out = grad.transpose(1, 0, 2)[None] if return_sequence else grad[None]
+        # The kernel's backward reads the tape's own parameter copies, so
+        # this closure pins no parameter arrays: they may be views of a
+        # flat vector the solver replaces every step, and keeping each one
+        # alive until backward fragments the heap.
+        grads = stacked_lstm_backward(st, dh_out, need_dx=x_in_graph)
+        for triple, d_triple in zip(layers, grads):
+            for p, d in zip(triple, d_triple):
+                p._accumulate(d[0])
+        if x_in_graph:
+            x_t._accumulate(st["dx"][0].transpose(1, 0, 2))
 
     return Tensor(out_data, _parents=tuple(parents), _backward_fn=backward)

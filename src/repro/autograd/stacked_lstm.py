@@ -1,27 +1,24 @@
-"""Stacked multi-client fused-LSTM kernels for the cohort solve path.
+"""The LSTM kernel: hand-derived multi-layer forward/backward over clients.
 
-:func:`~repro.autograd.functional.fused_lstm` runs *one* client's unrolled
-LSTM as hand-derived NumPy kernels.  The cohort local solver
-(:mod:`repro.runtime.cohort`) instead advances K clients' FedProx solves
-simultaneously, each at its *own* parameter vector — so these kernels add a
-leading client axis to every buffer and batch each GEMM over it:
-``(K, T*B, in) @ (K, in, 4H)`` for the input contribution,
-``(K, B, H) @ (K, H, 4H)`` per step for the recurrence, and so on.
+Every buffer carries a leading client axis ``K`` and each GEMM is batched
+over it: ``(K, T*B, in) @ (K, in, 4H)`` for the input contribution of all
+``T`` steps, ``(K, B, H) @ (K, H, 4H)`` per step for the recurrence.
+:func:`~repro.autograd.functional.fused_lstm` (behind
+:class:`repro.nn.FusedLSTM`) is the ``K = 1`` call; the cohort solver
+(:mod:`repro.models._stacked_seq`) calls it with one parameter row per
+client.  The graph-mode cell in :mod:`repro.nn.recurrent` is the
+correctness oracle for both.
 
-Bit-compatibility contract: for every client row ``k``, the operations
-executed on slice ``k`` are the *same* floating-point operations, in the
-same order, as one :func:`fused_lstm` forward/backward at that client's
-parameters — NumPy's batched ``matmul`` dispatches the identical per-slice
-GEMM, and all elementwise kernels are position-independent.  The models'
-``stacked_gradient`` implementations (CharLSTM / SentimentLSTM) build on
-this to satisfy the cohort determinism contract (row ``k`` equals the
-scalar ``gradient()`` at ``W[k]`` to ulp-level rounding), with the graph
-backend kept as the gradcheck oracle.
+Row contract: slice ``k`` runs the same floating-point operations, in the
+same order, whatever ``K`` is — batched ``matmul`` dispatches the identical
+per-slice GEMM and every elementwise kernel is position-independent — so
+row ``k`` is bitwise a ``fused_lstm`` call at that client's parameters.
 
-No autograd here: the cohort path needs raw gradients against caller-owned
-flat parameter rows, not a graph.  Buffers live in a
-:class:`StackedLSTMWorkspace` keyed by call shape, reused across the
-thousands of steps of a cohort solve.
+Gate columns are permuted ``[i, f, g, o] -> [i, f, o, g]`` internally (an
+exact relabeling; the swap is its own inverse) so the three sigmoid gates
+form one contiguous block.  Buffers live in a :class:`StackedLSTMWorkspace`
+(see DESIGN.md §12): forward tape on ``acquire``, backward scratch on the
+first backward, layer inputs read as ``reshape`` views of the tape.
 """
 
 from __future__ import annotations
@@ -30,11 +27,21 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .functional import _sigmoid_inplace
+
+def _sigmoid_inplace(a: np.ndarray) -> None:
+    """Numerically stable in-place logistic sigmoid via tanh.
+
+    ``sigmoid(x) = (tanh(x/2) + 1) / 2`` is finite for any ``x`` and needs
+    no temporaries, unlike the exp-based split form.
+    """
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
 
 
 class _StackedLayerTape:
-    """Per-layer activations and gradient scratch, leading client axis."""
+    """Per-layer activations, leading client axis."""
 
     def __init__(self, K: int, T: int, B: int, in_size: int, hidden: int) -> None:
         H = hidden
@@ -48,32 +55,34 @@ class _StackedLayerTape:
         self.w_x_p = np.empty((K, in_size, 4 * H))
         self.w_h_p = np.empty((K, H, 4 * H))
         self.b_p = np.empty((K, 4 * H))
-        self.d_wx_p = np.empty((K, in_size, 4 * H))
-        self.d_wh_p = np.empty((K, H, 4 * H))
-        self.d_b_p = np.empty((K, 4 * H))
-        self.d_wx = np.empty((K, in_size, 4 * H))
-        self.d_wh = np.empty((K, H, 4 * H))
-        self.d_b = np.empty((K, 4 * H))
-        # Contiguous copy of h[:, 1:] — the next layer's input must be flat
-        # (K, T*B, H) for the one-GEMM-per-layer input contribution to use
-        # the same BLAS accumulation order as the scalar kernel.
-        self.h_km = np.empty((K, T, B, H))
+        # Gradient scratch, allocated by the first backward: ``d_p`` in the
+        # internal column order, ``d`` un-permuted to the external one.
+        self.d_p: Tuple[np.ndarray, ...] = ()
+        self.d: Tuple[np.ndarray, ...] = ()
 
 
 class StackedLSTMWorkspace:
-    """Reusable buffers for stacked LSTM calls, keyed by call shape.
+    """Reusable LSTM tape, keyed by call shape ``(K, T, B, in, H, layers)``.
 
-    One workspace per model instance amortizes allocation across every
-    step of a cohort solve; the active width K shrinks at scheduler
-    segment boundaries, so only a handful of shapes ever materialize.
+    One workspace amortizes allocation across the minibatches and local
+    epochs of a solve (minibatch shapes repeat within an epoch, evaluation
+    blocks across rounds, and the cohort width K changes only at scheduler
+    segment boundaries).
+
+    A shape's buffers are *live* between a forward and its backward:
+    another forward of that shape overwrites the tape.  :meth:`acquire`
+    bumps :attr:`generation`, which lets an autograd node detect that its
+    tape was recycled before its backward ran (see ``fused_lstm``).
     """
 
     def __init__(self) -> None:
         self._tapes: dict = {}
+        self.generation = 0
 
     def acquire(
         self, K: int, T: int, B: int, in_size: int, hidden: int, layers: int
     ) -> dict:
+        """Forward buffers for one call shape, allocating on first use."""
         key = (K, T, B, in_size, hidden, layers)
         st = self._tapes.get(key)
         if st is None:
@@ -86,25 +95,33 @@ class StackedLSTMWorkspace:
                 ],
                 "x_km": np.empty((K, T, B, in_size)),
                 "tmp4h": np.empty((K, B, 4 * H)),
-                "tmp3h": np.empty((K, B, 3 * H)),
                 "tmph": np.empty((K, B, H)),
-                "perm": np.concatenate(
-                    [
-                        np.arange(2 * H),
-                        np.arange(3 * H, 4 * H),
-                        np.arange(2 * H, 3 * H),
-                    ]
-                ),
-                "dh": np.empty((K, B, H)),
-                "dc": np.empty((K, B, H)),
-                "dgates": np.empty((K, T, B, 4 * H)),
-                "dseq_a": np.empty((K, T, B, H)),
-                "dseq_b": np.empty((K, T, B, H)),
-                "hp_km": np.empty((K, T, B, H)),
-                "dx": np.empty((K, T, B, in_size)),
+                # Column order [i, f, g, o] -> [i, f, o, g] (an involution).
+                "perm": np.r_[0 : 2 * H, 3 * H : 4 * H, 2 * H : 3 * H],
             }
             self._tapes[key] = st
+        self.generation += 1
         return st
+
+
+def _backward_scratch(st: dict) -> None:
+    """Allocate the backward-only buffers of a tape, once."""
+    if "dgates" in st:
+        return
+    K, T, B, H, n_in = st["K"], st["T"], st["B"], st["H"], st["in_size"]
+    st.update(
+        dh=np.empty((K, B, H)),
+        dc=np.empty((K, B, H)),
+        tmp3h=np.empty((K, B, 3 * H)),
+        dgates=np.empty((K, T, B, 4 * H)),
+        dseq_a=np.empty((K, T, B, H)),
+        dseq_b=np.empty((K, T, B, H)),
+        dx=np.empty((K, T, B, n_in)),
+    )
+    for tape in st["layers"]:
+        shapes = (tape.w_x_p.shape, tape.w_h_p.shape, tape.b_p.shape)
+        tape.d_p = tuple(np.empty(s) for s in shapes)
+        tape.d = tuple(np.empty(s) for s in shapes)
 
 
 def stacked_lstm_forward(
@@ -115,19 +132,23 @@ def stacked_lstm_forward(
     ``params`` is one ``(w_x, w_h, b)`` triple per layer with leading
     client axis: ``(K, in, 4H)`` / ``(K, H, 4H)`` / ``(K, 4H)``, in the
     external [i, f, g, o] gate layout.  Returns the top layer's final
-    hidden state as a ``(K, B, H)`` view into the tape.
+    hidden state as a ``(K, B, H)`` view into the tape; the full top-layer
+    sequence is ``st["layers"][-1].h[:, 1:]``.
     """
     K, T, B, H = st["K"], st["T"], st["B"], st["H"]
     tmp4h, tmph, perm = st["tmp4h"], st["tmph"], st["perm"]
-    inp_flat = st["x_km"].reshape(K, T * B, st["in_size"])
+    inp = st["x_km"]
     for l, (w_x, w_h, b) in enumerate(params):
         tape = st["layers"][l]
         gates, h, c = tape.gates, tape.h, tape.c
         np.take(w_x, perm, axis=2, out=tape.w_x_p)
         np.take(w_h, perm, axis=2, out=tape.w_h_p)
         np.take(b, perm, axis=1, out=tape.b_p)
-        np.matmul(inp_flat, tape.w_x_p, out=gates.reshape(K, T * B, 4 * H))
-        gates += tape.b_p[:, None, None, :]
+        np.matmul(
+            inp.reshape(K, T * B, -1), tape.w_x_p,
+            out=gates.reshape(K, T * B, 4 * H),
+        )
+        gates += tape.b_p[:, None, None, :]  # one broadcast add for all T steps
         h[:, 0].fill(0.0)
         c[:, 0].fill(0.0)
         w_h_p = tape.w_h_p
@@ -144,34 +165,35 @@ def stacked_lstm_forward(
             c_next += tmph
             np.tanh(c_next, out=tanh_c[:, t])
             np.multiply(g_t[:, :, 2 * H : 3 * H], tanh_c[:, t], out=h[:, t + 1])
-        if l < len(params) - 1:
-            np.copyto(tape.h_km, h[:, 1:])
-            inp_flat = tape.h_km.reshape(K, T * B, H)
+        inp = h[:, 1:]
     return st["layers"][-1].h[:, T]
 
 
 def stacked_lstm_backward(
-    st: dict,
-    params: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    dh_final: np.ndarray,
-    need_dx: bool = False,
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Multi-client backward from a final-hidden-state gradient.
+    st: dict, dh_out: np.ndarray, need_dx: bool = False
+) -> List[Tuple[np.ndarray, ...]]:
+    """Multi-client backward of the last :func:`stacked_lstm_forward`.
 
-    ``dh_final`` is ``(K, B, H)``.  Per-layer gradients land in the tape
-    buffers and are returned as ``(d_wx, d_wh, d_b)`` triples in the
-    external gate layout (valid until the next call); when ``need_dx`` the
-    input gradient is left in ``st["dx"]`` as ``(K, T, B, in)``.
+    Reads the parameters from the tape's own permuted copies.  ``dh_out``
+    is the gradient of the top layer's output: ``(K, B, H)`` for the final
+    hidden state, or ``(K, T, B, H)`` for the full sequence.  Per-layer
+    gradients land in the tape buffers and are
+    returned as ``(d_wx, d_wh, d_b)`` triples in the external gate layout
+    (valid until the next call); when ``need_dx`` the input gradient is
+    left in ``st["dx"]`` as ``(K, T, B, in)``.
     """
+    _backward_scratch(st)
     K, T, B, H = st["K"], st["T"], st["B"], st["H"]
     dh, dc, tmp = st["dh"], st["dc"], st["tmph"]
     tmp3h, perm = st["tmp3h"], st["perm"]
     dgates = st["dgates"]
     dseq = st["dseq_a"]
-    dseq.fill(0.0)
-    dseq[:, T - 1] = dh_final
-    grads: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore[list-item]
-    for l in range(len(params) - 1, -1, -1):
+    if dh_out.ndim == 4:
+        np.copyto(dseq, dh_out)
+    else:
+        dseq.fill(0.0)
+        dseq[:, T - 1] = dh_out
+    for l in range(len(st["layers"]) - 1, -1, -1):
         tape = st["layers"][l]
         gates, h, c, tanh_c = tape.gates, tape.h, tape.c, tape.tanh_c
         dh.fill(0.0)
@@ -208,26 +230,18 @@ def stacked_lstm_backward(
             # carry to step t-1
             dc *= f_g
             np.matmul(dg_t, w_h_pT, out=dh)
-        # Fused parameter accumulation — one GEMM per matrix over the
-        # (T*B, .) stack per client, same accumulation order as scalar.
+        # Fused parameter accumulation: one GEMM per matrix over each
+        # client's (T*B, .) stack instead of T rank-B updates.
         flat_dg = dgates.reshape(K, T * B, 4 * H)
-        if l == 0:
-            inp_flat = st["x_km"].reshape(K, T * B, st["in_size"])
-        else:
-            prev = st["layers"][l - 1]
-            inp_flat = prev.h_km.reshape(K, T * B, H)
-        np.matmul(inp_flat.transpose(0, 2, 1), flat_dg, out=tape.d_wx_p)
-        hp = st["hp_km"]
-        np.copyto(hp, h[:, :T])
-        np.matmul(
-            hp.reshape(K, T * B, H).transpose(0, 2, 1), flat_dg,
-            out=tape.d_wh_p,
-        )
-        flat_dg.sum(axis=1, out=tape.d_b_p)
-        np.take(tape.d_wx_p, perm, axis=2, out=tape.d_wx)
-        np.take(tape.d_wh_p, perm, axis=2, out=tape.d_wh)
-        np.take(tape.d_b_p, perm, axis=1, out=tape.d_b)
-        grads[l] = (tape.d_wx, tape.d_wh, tape.d_b)
+        inp = st["x_km"] if l == 0 else st["layers"][l - 1].h[:, 1:]
+        d_wx_p, d_wh_p, d_b_p = tape.d_p
+        np.matmul(inp.reshape(K, T * B, -1).transpose(0, 2, 1), flat_dg, out=d_wx_p)
+        np.matmul(h[:, :T].reshape(K, T * B, H).transpose(0, 2, 1), flat_dg, out=d_wh_p)
+        flat_dg.sum(axis=1, out=d_b_p)
+        d_wx, d_wh, d_b = tape.d
+        np.take(d_wx_p, perm, axis=2, out=d_wx)
+        np.take(d_wh_p, perm, axis=2, out=d_wh)
+        np.take(d_b_p, perm, axis=1, out=d_b)
         if l > 0:
             nxt = st["dseq_b"] if dseq is st["dseq_a"] else st["dseq_a"]
             np.matmul(
@@ -240,4 +254,4 @@ def stacked_lstm_backward(
                 flat_dg, tape.w_x_p.transpose(0, 2, 1),
                 out=st["dx"].reshape(K, T * B, st["in_size"]),
             )
-    return grads
+    return [tape.d for tape in st["layers"]]

@@ -53,7 +53,7 @@ uplink cost over its actual uplink bytes.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,11 @@ from .config import CommsConfig
 if TYPE_CHECKING:  # avoid circular imports with repro.core / repro.runtime
     from ..core.client import ClientUpdate
     from ..runtime.executor import LocalTask
+
+
+def _no_clock() -> float:
+    """Stand-in clock for untimed round-trips (telemetry off)."""
+    return 0.0
 
 
 class CommsManager:
@@ -148,16 +153,27 @@ class CommsManager:
 
     # Round-trip ----------------------------------------------------------- #
     def _roundtrip_server_side(
-        self, update: "ClientUpdate", task: "LocalTask"
-    ) -> int:
-        """Encode+decode a dense update in place; returns payload bytes."""
+        self,
+        update: "ClientUpdate",
+        task: "LocalTask",
+        clock: Callable[[], float] = _no_clock,
+    ) -> Tuple[int, float, float]:
+        """Encode+decode a dense update in place.
+
+        Returns ``(payload bytes, encode seconds, decode seconds)``, timed
+        with ``clock`` (the default books zeros without reading a clock).
+        Encode covers everything up to the payload; decode covers the rest
+        — decoding, the error-feedback residual, and applying the delta.
+        """
         codec = self.codec
+        t0 = clock()
         if self.ef:
             delta = update.w - task.w_global
             residual = self._residuals.get(update.client_id)
             if residual is not None:
                 delta = delta + residual
             payload = codec.encode_delta(delta, task.rng_entropy)
+            t1 = clock()
             decoded = codec.decode_delta(payload, delta.shape[0])
             residual = delta - decoded
             if np.all(np.isfinite(residual)):
@@ -172,8 +188,9 @@ class CommsManager:
             payload = codec.encode_update(
                 update.w, task.w_global, task.rng_entropy
             )
+            t1 = clock()
             update.w = codec.decode_update(payload, task.w_global)
-        return payload.nbytes
+        return payload.nbytes, t1 - t0, clock() - t1
 
     def finalize_round(
         self,
@@ -223,12 +240,11 @@ class CommsManager:
                 if update.timings is not None:
                     encode_seconds += update.timings.get("comm_encode", 0.0)
             else:
-                t0 = time.perf_counter() if emit else 0.0
-                nbytes = self._roundtrip_server_side(update, task)
-                if emit:
-                    # The server-side round-trip is one fused pass; book
-                    # it as encode time (decode is the cheaper half).
-                    encode_seconds += time.perf_counter() - t0
+                nbytes, enc_s, dec_s = self._roundtrip_server_side(
+                    update, task, time.perf_counter if emit else _no_clock
+                )
+                encode_seconds += enc_s
+                decode_seconds += dec_s
                 if update.timings is not None:
                     update.timings["payload_bytes"] = float(nbytes)
             batch_up += nbytes

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from ..core.config import EvalConfig
 from ..core.fedprox import MU_GRID
 from ..core.history import TrainingHistory
 from ..core.server import FederatedTrainer
@@ -68,8 +69,7 @@ def _run(
         epochs=epochs,
         systems=systems,
         seed=seed,
-        eval_every=max(rounds, 1),
-        eval_test=False,
+        evaluation=EvalConfig(every=max(rounds, 1), test=False),
     )
     return trainer.run(rounds)
 

@@ -3,7 +3,9 @@
 :class:`StackedSeqSolveMixin` gives CharLSTM / SentimentLSTM the
 ``stacked_gradient`` implementation the cohort executor needs: K clients'
 mini-batch gradients, each at its *own* flat parameter row, in one pass
-through the batched LSTM kernels (:mod:`repro.autograd.stacked_lstm`).
+through the LSTM kernel (:mod:`repro.autograd.stacked_lstm`) at width K —
+the same kernel the scalar path calls at K = 1 via
+:func:`~repro.autograd.fused_lstm`.
 
 The mixin owns the glue around those kernels — flat-vector views in the
 module registration order (embedding -> per-layer ``(w_x, w_h, b)`` ->
@@ -11,9 +13,10 @@ head), the embedding gather, the dense head and its backward, and the loss
 delta, which each model supplies via ``_stacked_loss_delta`` replicating
 its scalar loss's exact floating-point operations.  Every elementwise op
 and GEMM here matches the scalar path (``gradient()`` through the fused
-autograd backend) per client row, so row ``k`` of the result equals
-``gradient(X_k, y_k)`` at ``W[k]`` to ulp-level rounding — padded batch
-slots contribute exact ``±0.0`` terms through masked deltas.
+autograd backend) per client row, and the kernel's row contract makes its
+slice ``k`` bitwise a ``fused_lstm`` call, so row ``k`` of the result
+equals ``gradient(X_k, y_k)`` at ``W[k]`` to ulp-level rounding — padded
+batch slots contribute exact ``±0.0`` terms through masked deltas.
 
 Only ``backend="fused"`` models can honor that contract: the graph backend
 exists as the per-timestep gradcheck oracle, and the mixin reports that as
@@ -211,9 +214,7 @@ class StackedSeqSolveMixin:
         delta.sum(axis=1, out=gv["head_b"])
         np.matmul(delta, pv["head_w"].transpose(0, 2, 1), out=ws["dh"])
 
-        lstm_grads = stacked_lstm_backward(
-            st, pv["layers"], ws["dh"], need_dx=pv["emb"] is not None
-        )
+        lstm_grads = stacked_lstm_backward(st, ws["dh"], need_dx=pv["emb"] is not None)
         for (d_wx, d_wh, d_b), (g_wx, g_wh, g_b) in zip(lstm_grads, gv["layers"]):
             np.copyto(g_wx, d_wx)
             np.copyto(g_wh, d_wh)

@@ -23,8 +23,10 @@ from ..autograd import Tensor
 from ..nn.module import Module
 
 #: Execution backends offered by the LSTM models: ``"fused"`` runs the
-#: hand-derived kernels (:func:`repro.autograd.fused_lstm`), ``"graph"``
-#: the per-timestep autograd graph kept as the correctness oracle.
+#: hand-derived LSTM kernel (:mod:`repro.autograd.stacked_lstm`, reached
+#: through :func:`repro.autograd.fused_lstm` for one client and through
+#: ``stacked_gradient`` for a cohort), ``"graph"`` the per-timestep
+#: autograd graph kept as the correctness oracle.
 LSTM_BACKENDS = ("fused", "graph")
 
 #: Rows per stacked-evaluation block for sequence models.  Each row of a

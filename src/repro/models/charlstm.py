@@ -63,7 +63,7 @@ class CharLSTM(StackedSeqSolveMixin, NeuralModel):
         Weight-initialization seed.
     backend:
         ``"fused"`` (default) runs the unroll through the hand-derived
-        :func:`repro.autograd.fused_lstm` kernels; ``"graph"`` keeps the
+        LSTM kernel (:func:`repro.autograd.fused_lstm`); ``"graph"`` keeps the
         per-timestep autograd graph (the gradcheck reference).  Both
         backends share initialization and the flat parameter layout, and
         agree to floating-point rounding.

@@ -10,8 +10,9 @@ Two executions of the same architecture exist:
 * :class:`LSTM` — graph mode, one autograd node per op per timestep.  Slow
   but trivially auditable; this is the gradcheck reference.
 * :class:`FusedLSTM` — identical parameters and initialization, but the
-  unroll runs through :func:`repro.autograd.fused_lstm` (hand-derived
-  forward/backward over a reusable activation tape).  Drop-in replacement:
+  unroll runs through :func:`repro.autograd.fused_lstm`, the single-client
+  call of the hand-derived kernels in :mod:`repro.autograd.stacked_lstm`
+  (one reusable activation tape).  Drop-in replacement:
   same flat parameter layout, same results to floating-point rounding.
 """
 
@@ -21,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import FusedLSTMWorkspace, Tensor, fused_lstm, ops
+from ..autograd import StackedLSTMWorkspace, Tensor, fused_lstm, ops
 from . import init
 from .module import Module, ModuleList
 
@@ -163,8 +164,10 @@ class FusedLSTM(LSTM):
     backends through ``get_flat`` / ``set_flat`` without translation.  Only
     :meth:`forward` differs: the whole unroll executes as one
     :func:`repro.autograd.fused_lstm` graph node over this module's
-    persistent :class:`~repro.autograd.FusedLSTMWorkspace`, which reuses
-    its activation tape across minibatches and local epochs.
+    persistent :class:`~repro.autograd.StackedLSTMWorkspace`, which reuses
+    its activation tape across minibatches and local epochs (the
+    backward buffers appear only once a backward runs, so evaluation-only
+    shapes keep just the forward tape).
 
     The workspace makes the usual tape assumption: a forward's backward
     pass must run before the next forward through this module (the
@@ -180,7 +183,7 @@ class FusedLSTM(LSTM):
         rng: np.random.Generator,
     ) -> None:
         super().__init__(input_size, hidden_size, num_layers, rng)
-        self._workspace = FusedLSTMWorkspace()
+        self._workspace = StackedLSTMWorkspace()
 
     def forward(self, x: Tensor, return_sequence: bool = False) -> Tensor:
         if x.ndim != 3:

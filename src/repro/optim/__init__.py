@@ -1,13 +1,7 @@
 """Local solvers, local-subproblem objectives, and batch scheduling."""
 
 from .adam import AdamSolver
-from .base import (
-    BatchSchedule,
-    LocalSolver,
-    batches_per_epoch,
-    epoch_batches,
-    work_batches,
-)
+from .base import BatchSchedule, LocalSolver
 from .inexactness import gamma_inexactness, is_gamma_inexact
 from .proximal import LocalObjective
 from .sgd import GDSolver, MomentumSGDSolver, SGDSolver
@@ -16,9 +10,6 @@ __all__ = [
     "LocalSolver",
     "LocalObjective",
     "BatchSchedule",
-    "epoch_batches",
-    "batches_per_epoch",
-    "work_batches",
     "SGDSolver",
     "MomentumSGDSolver",
     "GDSolver",

@@ -563,26 +563,32 @@ class TestByteTelemetry:
     def test_counters_and_spans_emitted(self, synthetic_small):
         from repro.telemetry import InMemorySink, Telemetry
 
-        sink = InMemorySink()
-        model = MultinomialLogisticRegression(dim=60, num_classes=10)
-        trainer = FederatedTrainer(
-            dataset=synthetic_small, model=model,
-            solver=SGDSolver(0.01, batch_size=10),
-            mu=1.0, clients_per_round=4, epochs=2, seed=1,
-            comms="comms:codec=qsgd,bits=8",
-            telemetry=Telemetry([sink]),
-        )
-        try:
-            trainer.run(2)
-        finally:
-            trainer.close()
-        up = sink.metrics("comms.bytes_up")
-        down = sink.metrics("comms.bytes_down")
-        ratios = sink.metrics("comms.compression_ratio")
-        assert up and down and ratios
-        assert all(e["value"] > 0 for e in up + down)
-        assert all(e["value"] >= 4.0 for e in ratios)
-        assert sink.spans("comm:encode") and sink.spans("comm:decode")
+        # Device-side encoding (plain qsgd) and the server-side round-trip
+        # that error feedback forces must both time their decode half.
+        for spec in ("comms:codec=qsgd,bits=8", "comms:codec=qsgd,bits=8,ef=true"):
+            sink = InMemorySink()
+            model = MultinomialLogisticRegression(dim=60, num_classes=10)
+            trainer = FederatedTrainer(
+                dataset=synthetic_small, model=model,
+                solver=SGDSolver(0.01, batch_size=10),
+                mu=1.0, clients_per_round=4, epochs=2, seed=1,
+                comms=spec,
+                telemetry=Telemetry([sink]),
+            )
+            try:
+                trainer.run(2)
+            finally:
+                trainer.close()
+            assert trainer._comms_manager.device_side is ("ef=true" not in spec)
+            up = sink.metrics("comms.bytes_up")
+            down = sink.metrics("comms.bytes_down")
+            ratios = sink.metrics("comms.compression_ratio")
+            assert up and down and ratios
+            assert all(e["value"] > 0 for e in up + down)
+            assert all(e["value"] >= 4.0 for e in ratios)
+            encode, decode = sink.spans("comm:encode"), sink.spans("comm:decode")
+            assert encode and decode
+            assert all(e["duration"] > 0 for e in encode + decode), spec
 
     def test_summarize_surfaces_comms_totals(self, tmp_path):
         from repro.telemetry import JSONLSink, Telemetry, load_run

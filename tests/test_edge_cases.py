@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    EvalConfig,
     FederatedTrainer,
     UniformSamplingWeightedAverage,
     WeightedSamplingSimpleAverage,
@@ -115,7 +116,8 @@ class TestAbnormalModels:
         trainer = FederatedTrainer(
             dataset=toy_dataset, model=model,
             solver=SGDSolver(1e-12, batch_size=8),
-            clients_per_round=2, epochs=1, seed=0, eval_test=False,
+            clients_per_round=2, epochs=1, seed=0,
+            evaluation=EvalConfig(test=False),
         )
         history = trainer.run(2)
         assert all(np.isfinite(r.train_loss) for r in history.records)
@@ -140,7 +142,8 @@ class TestDataEdgeCases:
         model = MultinomialLogisticRegression(dim=2, num_classes=2)
         trainer = FederatedTrainer(
             dataset=ds, model=model, solver=SGDSolver(0.5, batch_size=1),
-            clients_per_round=1, epochs=5, seed=0, eval_test=False,
+            clients_per_round=1, epochs=5, seed=0,
+            evaluation=EvalConfig(test=False),
         )
         history = trainer.run(5)
         assert history.final_train_loss() < np.log(2)

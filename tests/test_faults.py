@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer, TrainerConfig
+from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
 from repro.core.feddane import FedDaneTrainer
 from repro.faults import (
     FAULT_KINDS,
@@ -316,7 +316,8 @@ class TestTrainerConfig:
         )
         t_kw = FederatedTrainer(
             synthetic_small, model_b, solver,
-            mu=0.5, clients_per_round=4, epochs=2, seed=3, eval_every=2,
+            mu=0.5, clients_per_round=4, epochs=2, seed=3,
+            evaluation=EvalConfig(every=2),
         )
         try:
             h_cfg = t_cfg.run(3)

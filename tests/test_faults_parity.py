@@ -46,7 +46,7 @@ def _run(dataset, *, executor=None, seed=1, **fault_kwargs):
         epochs=2,
         systems=FractionStragglers(0.5, seed=3),
         seed=seed,
-        executor=executor,
+        engine=executor,
         **fault_kwargs,
     )
     try:

@@ -10,6 +10,7 @@ import pytest
 from repro.core import (
     AdaptiveMuController,
     Client,
+    EvalConfig,
     make_fedavg,
     make_fedprox,
     measure_dissimilarity,
@@ -46,15 +47,18 @@ class TestHeadlineClaims:
         rounds = 40
         fedavg = make_fedavg(
             het_dataset, _logistic(), 0.01,
-            systems=FractionStragglers(0.9, seed=5), seed=1, eval_every=rounds,
+            systems=FractionStragglers(0.9, seed=5), seed=1,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         fedprox0 = make_fedprox(
             het_dataset, _logistic(), 0.01, mu=0.0,
-            systems=FractionStragglers(0.9, seed=5), seed=1, eval_every=rounds,
+            systems=FractionStragglers(0.9, seed=5), seed=1,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         fedprox1 = make_fedprox(
             het_dataset, _logistic(), 0.01, mu=1.0,
-            systems=FractionStragglers(0.9, seed=5), seed=1, eval_every=rounds,
+            systems=FractionStragglers(0.9, seed=5), seed=1,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         # Partial work beats dropping; the proximal term does not hurt.
         assert fedprox0.final_train_loss() < fedavg.final_train_loss()
@@ -64,11 +68,12 @@ class TestHeadlineClaims:
         """Figure 5: on IID data, FedAvg barely suffers from stragglers."""
         rounds = 30
         clean = make_fedavg(
-            iid_dataset, _logistic(), 0.01, seed=2, eval_every=rounds,
+            iid_dataset, _logistic(), 0.01, seed=2, evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         stressed = make_fedavg(
             iid_dataset, _logistic(), 0.01,
-            systems=FractionStragglers(0.9, seed=3), seed=2, eval_every=rounds,
+            systems=FractionStragglers(0.9, seed=3), seed=2,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         # Within a modest factor despite 90% of devices being dropped.
         assert stressed.final_train_loss() < clean.final_train_loss() * 2.0
@@ -81,7 +86,8 @@ class TestHeadlineClaims:
 
         def loss_increases(ds):
             h = make_fedprox(
-                ds, _logistic(), 0.01, mu=0.0, seed=3, eval_every=rounds
+                ds, _logistic(), 0.01, mu=0.0, seed=3,
+                evaluation=EvalConfig(every=rounds)
             ).run(rounds)
             diffs = np.diff(h.train_losses)
             return int((diffs > 0).sum())
@@ -97,7 +103,7 @@ class TestHeadlineClaims:
         for mu in (0.0, 1.0):
             trainer = make_fedprox(
                 het_dataset_fig2, _logistic(), 0.01, mu=mu, seed=0,
-                track_dissimilarity=True, eval_every=4,
+                track_dissimilarity=True, evaluation=EvalConfig(every=4),
             )
             runs[mu] = trainer.run(rounds)
         assert runs[1.0].final_train_loss() < runs[0.0].final_train_loss()
@@ -111,11 +117,13 @@ class TestHeadlineClaims:
         """Figure 3: dynamic mu from an adversarial start ~ matches fixed."""
         rounds = 40
         fixed = make_fedprox(
-            het_dataset, _logistic(), 0.01, mu=1.0, seed=5, eval_every=rounds,
+            het_dataset, _logistic(), 0.01, mu=1.0, seed=5,
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         adaptive = make_fedprox(
             het_dataset, _logistic(), 0.01, mu=0.0, seed=5,
-            mu_controller=AdaptiveMuController(initial_mu=0.0), eval_every=rounds,
+            mu_controller=AdaptiveMuController(initial_mu=0.0),
+            evaluation=EvalConfig(every=rounds),
         ).run(rounds)
         assert adaptive.final_train_loss() < fixed.final_train_loss() * 1.5
 
@@ -124,7 +132,9 @@ class TestConvergenceQuality:
     def test_reaches_good_accuracy_on_mnist_like(self):
         dataset = make_mnist_like(num_devices=30, total_samples=1500, dim=64, seed=0)
         model = MultinomialLogisticRegression(dim=64, num_classes=10)
-        trainer = make_fedprox(dataset, model, 0.03, mu=1.0, seed=0, eval_every=5)
+        trainer = make_fedprox(
+            dataset, model, 0.03, mu=1.0, seed=0, evaluation=EvalConfig(every=5),
+        )
         history = trainer.run(30)
         # The multi-style image task is genuinely hard at this tiny scale;
         # require clear learning: far above the 10% chance level.
@@ -134,7 +144,8 @@ class TestConvergenceQuality:
     def test_loss_monotone_in_aggregate(self, iid_dataset):
         """On IID data the loss trend should be clearly downward."""
         history = make_fedprox(
-            iid_dataset, _logistic(), 0.01, mu=0.0, seed=6, eval_every=100,
+            iid_dataset, _logistic(), 0.01, mu=0.0, seed=6,
+            evaluation=EvalConfig(every=100),
         ).run(30)
         losses = history.train_losses
         assert losses[-1] < losses[0] * 0.7
@@ -156,7 +167,9 @@ class TestConvergenceQuality:
     def test_dissimilarity_measured_on_trained_model(self, het_dataset):
         """B(w) stays finite and >= 1 along a real training trajectory."""
         model = _logistic()
-        trainer = make_fedprox(het_dataset, model, 0.01, mu=1.0, seed=7, eval_every=100)
+        trainer = make_fedprox(
+            het_dataset, model, 0.01, mu=1.0, seed=7, evaluation=EvalConfig(every=100),
+        )
         trainer.run(10)
         clients = [Client(c, model, SGDSolver(0.01)) for c in het_dataset]
         report = measure_dissimilarity(clients, trainer.w)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import (
-    FusedLSTMWorkspace,
+    StackedLSTMWorkspace,
     Tensor,
     check_gradients,
     fused_lstm,
@@ -89,7 +89,7 @@ class TestFusedLSTMFunction:
     def test_stale_workspace_backward_raises(self, rng):
         lstm = LSTM(3, 4, 1, rng)
         triples = [(lstm.cells[0].w_x, lstm.cells[0].w_h, lstm.cells[0].bias)]
-        ws = FusedLSTMWorkspace()
+        ws = StackedLSTMWorkspace()
         x = rng.normal(size=(2, 3, 3))
         first = ops.sum_(fused_lstm(x, triples, workspace=ws))
         ops.sum_(fused_lstm(x, triples, workspace=ws))  # recycles the tape

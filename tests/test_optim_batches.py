@@ -1,10 +1,7 @@
 """BatchSchedule: the consolidated mini-batch schedule API.
 
-The historical helpers (``epoch_batches`` / ``batches_per_epoch`` /
-``work_batches``) are deprecated thin wrappers over
-:class:`BatchSchedule`; these tests pin the equivalence, the deprecation
-warnings, the public exports, and the schedule's edge cases (fractional
-budgets, minimum work, validation).
+These tests pin the public export and the schedule's edge cases
+(fractional budgets, minimum work, validation).
 """
 
 from __future__ import annotations
@@ -19,9 +16,6 @@ from repro.optim import (
     GDSolver,
     MomentumSGDSolver,
     SGDSolver,
-    batches_per_epoch,
-    epoch_batches,
-    work_batches,
 )
 
 
@@ -31,14 +25,8 @@ def _rng(seed=42):
 
 class TestExports:
     def test_schedule_api_is_public(self):
-        for name in (
-            "BatchSchedule",
-            "epoch_batches",
-            "batches_per_epoch",
-            "work_batches",
-        ):
-            assert name in optim.__all__
-            assert hasattr(optim, name)
+        assert "BatchSchedule" in optim.__all__
+        assert hasattr(optim, "BatchSchedule")
 
 
 class TestBatchScheduleProperties:
@@ -84,31 +72,6 @@ class TestBatchScheduleProperties:
         assert len(epochs) == 2
         assert not np.array_equal(epochs[0], epochs[1])
         assert sorted(epochs[0]) == sorted(epochs[1]) == list(range(8))
-
-
-class TestLegacyHelpersDelegate:
-    """Deprecated wrappers: warn, but still delegate batch-for-batch."""
-
-    def test_epoch_batches(self):
-        with pytest.warns(DeprecationWarning, match="epoch_batches"):
-            legacy = epoch_batches(13, 5, _rng())
-        unified = BatchSchedule(13, 5).one_epoch(_rng())
-        for a, b in zip(legacy, unified):
-            np.testing.assert_array_equal(a, b)
-
-    def test_batches_per_epoch(self):
-        for n, bs in [(13, 5), (10, 10), (3, 7)]:
-            with pytest.warns(DeprecationWarning, match="batches_per_epoch"):
-                assert batches_per_epoch(n, bs) == BatchSchedule(n, bs).per_epoch
-
-    @pytest.mark.parametrize("epochs", [0.4, 1.0, 2.5])
-    def test_work_batches(self, epochs):
-        with pytest.warns(DeprecationWarning, match="work_batches"):
-            legacy = list(work_batches(13, 5, epochs, _rng()))
-        unified = BatchSchedule(13, 5, epochs).materialize(_rng())
-        assert len(legacy) == len(unified)
-        for a, b in zip(legacy, unified):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestStackedPlansMatchScalarDraws:

@@ -57,7 +57,7 @@ def _run(
         systems=FractionStragglers(straggler, seed=3),
         track_gamma=track_gamma,
         seed=seed,
-        executor=executor,
+        engine=executor,
     )
     try:
         return trainer.run(ROUNDS)
@@ -183,7 +183,7 @@ class TestPackEfficiencyGauge:
             epochs=2.0,
             systems=PowerLawStragglers(2.0, seed=3),
             seed=1,
-            executor=CohortExecutor(),
+            engine=CohortExecutor(),
             telemetry=telemetry,
         )
         try:
@@ -305,7 +305,7 @@ class TestSkewedBudgetGrids:
                 systems=PowerLawStragglers(alpha, seed=3),
                 track_gamma=True,
                 seed=1,
-                executor=executor,
+                engine=executor,
             )
             try:
                 return trainer.run(ROUNDS)
@@ -340,7 +340,7 @@ class TestSkewedBudgetGrids:
                 systems=PowerLawStragglers(2.0, seed=7),
                 track_gamma=True,
                 seed=2,
-                executor=executor,
+                engine=executor,
             )
             try:
                 return trainer.run(ROUNDS)

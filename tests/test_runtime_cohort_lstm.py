@@ -63,7 +63,7 @@ def _run(dataset, model, executor, *, solver=None, alpha=1.0, mu=0.01):
         systems=PowerLawStragglers(alpha, seed=3),
         track_gamma=True,
         seed=1,
-        executor=executor,
+        engine=executor,
     )
     try:
         return trainer.run(ROUNDS)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import FederatedTrainer, TrainerConfig
+from repro.core import EvalConfig, FederatedTrainer, TrainerConfig
 from repro.datasets import make_synthetic, make_synthetic_ondemand
 from repro.models import MultinomialLogisticRegression
 from repro.optim import SGDSolver
@@ -88,7 +88,8 @@ class TestSampledTrainerHistories:
 
     def test_estimates_carry_cis_and_sample_sizes(self, dataset):
         trainer = make_trainer(
-            dataset, eval="sampled", eval_sample_size=30, eval_strata=5
+            dataset,
+            evaluation=EvalConfig(strategy="sampled", sample_size=30, strata=5),
         )
         history = trainer.run(3)
         trainer.close()
@@ -102,9 +103,7 @@ class TestSampledTrainerHistories:
     def test_full_checkpoint_rounds_match_exhaustive_oracle(self, dataset):
         trainer = make_trainer(
             dataset,
-            eval="sampled",
-            eval_sample_size=20,
-            eval_full_every=2,
+            evaluation=EvalConfig(strategy="sampled", sample_size=20, full_every=2),
         )
         history = trainer.run(4)
         exact_loss = trainer.executor.train_loss(trainer.w)
@@ -123,7 +122,7 @@ class TestSampledTrainerHistories:
 
     def test_sampled_estimate_tracks_full_value(self, dataset):
         sampled = make_trainer(
-            dataset, seed=5, eval="sampled", eval_sample_size=60
+            dataset, seed=5, evaluation=EvalConfig(strategy="sampled", sample_size=60)
         )
         h_sampled = sampled.run(2)
         full_loss = sampled.executor.train_loss(sampled.w)
@@ -139,7 +138,8 @@ class TestSampledTrainerHistories:
         halfwidths = {}
         for n in (15, 90):
             trainer = make_trainer(
-                dataset, eval="sampled", eval_sample_size=n, eval_strata=5
+                dataset,
+                evaluation=EvalConfig(strategy="sampled", sample_size=n, strata=5),
             )
             history = trainer.run(2)
             trainer.close()
@@ -152,10 +152,10 @@ class TestSampledTrainerHistories:
             trainer = make_trainer(
                 dataset,
                 seed=11,
-                eval="sampled",
-                eval_sample_size=25,
-                eval_full_every=3,
-                executor=executor,
+                evaluation=EvalConfig(
+                    strategy="sampled", sample_size=25, full_every=3
+                ),
+                engine=executor,
             )
             history = trainer.run(3)
             trainer.close()
@@ -175,8 +175,7 @@ class TestSampledTrainerHistories:
         sink = InMemorySink()
         trainer = make_trainer(
             dataset,
-            eval="sampled",
-            eval_sample_size=20,
+            evaluation=EvalConfig(strategy="sampled", sample_size=20),
             telemetry=Telemetry([sink]),
         )
         trainer.run(2)
@@ -194,7 +193,7 @@ class TestSampledTrainerHistories:
 
     def test_invalid_eval_strategy_rejected(self, dataset):
         with pytest.raises(ValueError):
-            make_trainer(dataset, eval="approximate")
+            make_trainer(dataset, evaluation=EvalConfig(strategy="approximate"))
 
 
 class TestEvalTrainEvery:
@@ -203,7 +202,7 @@ class TestEvalTrainEvery:
         return make_synthetic(1.0, 1.0, num_devices=20, seed=0)
 
     def test_skipped_rounds_record_none_explicitly(self, dataset):
-        trainer = make_trainer(dataset, eval_train_every=3)
+        trainer = make_trainer(dataset, evaluation=EvalConfig(train_every=3))
         history = trainer.run(7)
         trainer.close()
         for record in history.records[:-1]:
@@ -223,7 +222,7 @@ class TestEvalTrainEvery:
 
         trainer = make_trainer(
             dataset,
-            eval_train_every=5,
+            evaluation=EvalConfig(train_every=5),
             mu_controller=AdaptiveMuController(initial_mu=1.0),
         )
         history = trainer.run(4)
@@ -232,7 +231,7 @@ class TestEvalTrainEvery:
 
     def test_rejects_nonpositive_interval(self, dataset):
         with pytest.raises(ValueError):
-            make_trainer(dataset, eval_train_every=0)
+            make_trainer(dataset, evaluation=EvalConfig(train_every=0))
 
     def test_config_roundtrip_carries_eval_fields(self):
         config = TrainerConfig.from_kwargs(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FederatedTrainer
+from repro.core import EvalConfig, FederatedTrainer
 from repro.core.callbacks import Callback, LambdaCallback
 from repro.datasets import make_synthetic
 from repro.models import MultinomialLogisticRegression
@@ -66,7 +66,7 @@ def make_trainer(dataset, telemetry=None, executor=None, **overrides):
         systems=FractionStragglers(0.5, seed=3),
         track_gamma=True,
         seed=1,
-        executor=executor,
+        engine=executor,
         telemetry=telemetry,
         label="telemetry-test",
     )
@@ -344,7 +344,7 @@ class TestCallbacksInterleaving:
         trainer = make_trainer(
             dataset,
             telemetry=Telemetry([sink]),
-            eval_every=3,
+            evaluation=EvalConfig(every=3),
             callbacks=[LambdaCallback(lambda r: r.round_idx == stop_at)],
         )
         try:

@@ -40,7 +40,7 @@ def record(path, executor="serial", label="run", rounds=3, seed=5, **kwargs):
         mu=0.5,
         epochs=1,
         seed=seed,
-        executor=executor,
+        engine=executor,
         telemetry=telemetry,
         label=label,
         systems=FractionStragglers(0.5, seed=3),
