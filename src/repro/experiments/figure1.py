@@ -30,6 +30,7 @@ def run_figure1(
     datasets: Optional[Sequence[str]] = None,
     straggler_levels: Sequence[float] = STRAGGLER_LEVELS,
     epochs: Optional[float] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Run the Figure 1 grid.
 
@@ -43,6 +44,10 @@ def run_figure1(
         Straggler fractions to sweep.
     epochs:
         Override E (Figures 9/10 use ``epochs=1``).
+    engine:
+        Round execution engine, forwarded to
+        :func:`~repro.experiments.runner.run_methods` (``"auto"`` picks the
+        cohort fast path where the model supports it).
 
     Returns
     -------
@@ -75,6 +80,7 @@ def run_figure1(
                 straggler_fraction=level,
                 seed=seed,
                 epochs=epochs,
+                engine=engine,
             )
             result.panels.append(
                 PanelResult(
@@ -90,6 +96,7 @@ def run_figure9(
     scale: str = "smoke",
     seed: int = 0,
     datasets: Optional[Sequence[str]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Figures 9/10: the Figure 1 protocol with E=1.
 
@@ -98,7 +105,7 @@ def run_figure9(
     still beats dropping stragglers (FedAvg).
     """
     result = run_figure1(
-        scale=scale, seed=seed, datasets=datasets, epochs=1.0
+        scale=scale, seed=seed, datasets=datasets, epochs=1.0, engine=engine
     )
     result.figure_id = "figure9"
     result.description = "FedAvg vs FedProx under stragglers with E=1 (Figs 9-10)"

@@ -32,6 +32,7 @@ def run_figure12(
     scale: str = "smoke",
     seed: int = 0,
     datasets: Optional[Sequence[str]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Run both sampling schemes at µ∈{0, 1} over the synthetic suite."""
     s = get_scale(scale)
@@ -56,6 +57,7 @@ def run_figure12(
                     seed=seed,
                     sampling_factory=scheme_cls,
                     track_dissimilarity=True,
+                    engine=engine,
                 )
                 histories[label] = run[label]
         result.panels.append(

@@ -31,6 +31,7 @@ def run_figure2(
     seed: int = 0,
     mu: float = SYNTHETIC_MU,
     datasets: Optional[Sequence[str]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Run the Figure 2 / Figure 6 synthetic sweep with dissimilarity tracking."""
     s = get_scale(scale)
@@ -57,6 +58,7 @@ def run_figure2(
             straggler_fraction=0.0,
             seed=seed,
             track_dissimilarity=True,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(dataset=name, environment="", histories=histories)
@@ -68,6 +70,7 @@ def run_figure8(
     scale: str = "smoke",
     seed: int = 0,
     datasets: Optional[Sequence[str]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Figure 8: gradient-variance dissimilarity on the five real datasets.
 
@@ -96,6 +99,7 @@ def run_figure8(
             straggler_fraction=0.0,
             seed=seed,
             track_dissimilarity=True,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(dataset=name, environment="", histories=histories)

@@ -35,6 +35,7 @@ def run_figure3(
     seed: int = 0,
     datasets: Sequence[str] = FIGURE3_DATASETS,
     fixed_mu: float = 1.0,
+    engine: str = "auto",
 ) -> FigureResult:
     """Run the adaptive-µ comparison on the requested synthetic datasets."""
     s = get_scale(scale)
@@ -55,7 +56,8 @@ def run_figure3(
             MethodSpec(label=f"FedProx, mu={fixed_mu:g}", mu=fixed_mu),
         ]
         histories = run_methods(
-            workload, s, methods, straggler_fraction=0.0, seed=seed
+            workload, s, methods, straggler_fraction=0.0, seed=seed,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(dataset=name, environment="", histories=histories)
@@ -63,7 +65,9 @@ def run_figure3(
     return result
 
 
-def run_figure11(scale: str = "smoke", seed: int = 0) -> FigureResult:
+def run_figure11(
+    scale: str = "smoke", seed: int = 0, engine: str = "auto"
+) -> FigureResult:
     """Figure 11: the adaptive-µ comparison on all four synthetic datasets."""
     result = run_figure3(
         scale=scale,
@@ -74,6 +78,7 @@ def run_figure11(scale: str = "smoke", seed: int = 0) -> FigureResult:
             "Synthetic(0.5,0.5)",
             "Synthetic(1,1)",
         ),
+        engine=engine,
     )
     result.figure_id = "figure11"
     return result

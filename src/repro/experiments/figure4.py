@@ -23,6 +23,7 @@ def run_figure4_top(
     scale: str = "smoke",
     seed: int = 0,
     datasets: Optional[Sequence[str]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Top row: FedProx vs FedDane at µ∈{0, 1}."""
     s = get_scale(scale)
@@ -42,7 +43,8 @@ def run_figure4_top(
     )
     for name, workload in workloads.items():
         histories = run_methods(
-            workload, s, methods, straggler_fraction=0.0, seed=seed
+            workload, s, methods, straggler_fraction=0.0, seed=seed,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(dataset=name, environment="", histories=histories)
@@ -55,6 +57,7 @@ def run_figure4_bottom(
     seed: int = 0,
     datasets: Optional[Sequence[str]] = None,
     gradient_client_counts: Optional[Sequence[int]] = None,
+    engine: str = "auto",
 ) -> FigureResult:
     """Bottom row: FedDane with increasing gradient-estimate subsamples.
 
@@ -86,7 +89,8 @@ def run_figure4_bottom(
             for c in counts
         ]
         histories = run_methods(
-            workload, s, methods, straggler_fraction=0.0, seed=seed
+            workload, s, methods, straggler_fraction=0.0, seed=seed,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(dataset=name, environment="", histories=histories)

@@ -22,6 +22,7 @@ def run_figure5(
     scale: str = "smoke",
     seed: int = 0,
     straggler_levels: Sequence[float] = STRAGGLER_LEVELS,
+    engine: str = "auto",
 ) -> FigureResult:
     """FedAvg vs FedProx(µ=0) on Synthetic-IID across straggler levels."""
     s = get_scale(scale)
@@ -36,7 +37,8 @@ def run_figure5(
     )
     for level in straggler_levels:
         histories = run_methods(
-            workload, s, methods, straggler_fraction=level, seed=seed
+            workload, s, methods, straggler_fraction=level, seed=seed,
+            engine=engine,
         )
         result.panels.append(
             PanelResult(

@@ -93,6 +93,7 @@ def build_trainer(
     epochs: Optional[float] = None,
     telemetry=None,
     faults: Optional[FaultSchedule] = None,
+    engine: str = "auto",
 ) -> FederatedTrainer:
     """Instantiate the trainer described by ``spec`` for one workload.
 
@@ -100,10 +101,23 @@ def build_trainer(
     are grouped into a :class:`~repro.core.config.TrainerConfig` and handed
     to :meth:`FederatedTrainer.from_config` (FedDane, which needs its extra
     ``gradient_clients`` argument and supports no fault injection, still
-    constructs directly).
+    constructs directly from the same config).
+
+    ``engine="auto"`` resolves to ``"cohort"`` when the model advertises
+    ``supports_stacked_local_solve`` and the solver
+    ``supports_stacked_solve``, and to ``"serial"`` otherwise (the model's
+    ``stacked_local_solve_reason`` says why).  It is resolved here, before
+    the config is built, so the config and any ledger manifest record the
+    concrete engine.  Any other value is an executor spec and passes
+    through unchanged.
     """
     model = workload.model_factory()
     solver = SGDSolver(workload.learning_rate, batch_size=scale.batch_size)
+    if engine == "auto":
+        stacked = (
+            model.supports_stacked_local_solve and solver.supports_stacked_solve
+        )
+        engine = "cohort" if stacked else "serial"
     sampling_factory = sampling_factory or UniformSamplingWeightedAverage
     sampling = sampling_factory(
         workload.dataset, scale.clients_per_round, seed=seed
@@ -128,6 +142,7 @@ def build_trainer(
         mu_controller=controller,
         telemetry=telemetry,
         label=spec.label,
+        engine=engine,
     )
     if spec.feddane:
         kwargs = config.trainer_kwargs()
@@ -154,6 +169,7 @@ def run_methods(
     epochs: Optional[float] = None,
     telemetry_dir: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
+    engine: str = "auto",
 ) -> Dict[str, TrainingHistory]:
     """Run each method on a workload under a shared environment.
 
@@ -189,6 +205,14 @@ def run_methods(
         fairness protocol to failures.  Each method handles them per its
         own ``MethodSpec.fault_policy``.  ``None`` (the default) injects
         nothing and leaves histories bit-identical to a fault-free run.
+    engine:
+        Round execution engine for every method: ``"auto"`` (the default)
+        runs the stacked cohort fast path whenever the model and solver
+        support it and serial otherwise (see :func:`build_trainer`); an
+        executor spec (``"serial"``, ``"cohort"``, ``"parallel:N"``,
+        ``"async:..."``) forces that engine.  Cohort histories match serial
+        to rounding on the convex workloads and per round on the LSTMs
+        (see :mod:`repro.runtime.cohort`).
 
     Returns
     -------
@@ -226,6 +250,7 @@ def run_methods(
             epochs=epochs,
             telemetry=telemetry,
             faults=faults,
+            engine=engine,
         )
         try:
             results[spec.label] = trainer.run(num_rounds)
